@@ -197,8 +197,9 @@ def check_shard_speedup(
                 f"{overhead_ceiling:.1f}x overhead ceiling"
             )
     # The serial build phase is shared by every mode; surface it so the
-    # artifact trail records where setup time goes (it is not guarded —
-    # subscription-install throughput has its own microbench).
+    # artifact trail records where setup time goes.  It is not guarded
+    # here: the repository benchmark (perfbench, ``setup_s`` and the
+    # traced ``pubsub.table.install_many_s``) measures the build.
     for key, point in sorted(points.items()):
         if key is not None and isinstance(point.get("build_s"), (int, float)):
             print(f"note: build phase {point['build_s']:.1f}s for scale {key}")

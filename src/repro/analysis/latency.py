@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chunked import grouped_runs, sorted_contains
-from repro.core.folds import fold_mean
+from repro.core.folds import fold_sum_array
 from repro.pubsub.client import DeliveryLog, SubscriberHandle
 
 
@@ -32,32 +32,40 @@ class LatencyStats:
 
     @classmethod
     def from_samples(cls, samples: list[float]) -> "LatencyStats":
-        if not samples:
+        return cls.from_array(np.asarray(samples, dtype=np.float64))
+
+    @classmethod
+    def from_array(cls, samples: np.ndarray) -> "LatencyStats":
+        """Summary of a float64 sample without per-sample Python objects:
+        a stable sort orders it as ``sorted`` would, and the mean is the
+        same left-to-right fold (:func:`fold_sum_array`)."""
+        n = int(samples.shape[0])
+        if not n:
             return cls(count=0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, maximum=0.0)
-        ordered = sorted(samples)
+        ordered = np.sort(samples, kind="stable")
         return cls(
-            count=len(ordered),
-            mean=fold_mean(ordered),
+            count=n,
+            mean=fold_sum_array(ordered) / n,
             p50=_quantile(ordered, 0.50),
             p90=_quantile(ordered, 0.90),
             p99=_quantile(ordered, 0.99),
-            maximum=ordered[-1],
+            maximum=float(ordered[-1]),
         )
 
 
-def _quantile(ordered: list[float], q: float) -> float:
+def _quantile(ordered: np.ndarray, q: float) -> float:
     """Linear-interpolation quantile on a pre-sorted sample."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     if len(ordered) == 1:
-        return ordered[0]
+        return float(ordered[0])
     pos = q * (len(ordered) - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)
     if lo == hi:
-        return ordered[lo]
+        return float(ordered[lo])
     frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac
 
 
 def _pooled_samples_by_log(
@@ -111,8 +119,9 @@ def latency_stats(
     summarising, so the chunk-order pooling is result-identical to the
     old handle-order gathers."""
     pooled = _pooled_samples_by_log(handles, valid_only)
-    samples = [s for arr in pooled.values() for s in arr.tolist()]
-    return LatencyStats.from_samples(samples)
+    if not pooled:
+        return LatencyStats.from_samples([])
+    return LatencyStats.from_array(np.concatenate(list(pooled.values())))
 
 
 def _pooled_key(handle: SubscriberHandle) -> tuple[int, int]:
@@ -128,7 +137,7 @@ def latency_by_subscriber(
     pooled = _pooled_samples_by_log(handles, valid_only)
     empty = np.empty(0)
     return {
-        h.name: LatencyStats.from_samples(pooled.get(_pooled_key(h), empty).tolist())
+        h.name: LatencyStats.from_array(pooled.get(_pooled_key(h), empty))
         for h in handles
     }
 

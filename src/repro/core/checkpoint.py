@@ -22,7 +22,7 @@ the same parent and published with ``os.rename``; a crash mid-save
 leaves at most a temp directory that the next save sweeps away, never a
 half-written checkpoint that :func:`latest_checkpoint` could pick up.
 
-Compatibility policy (version 1): a snapshot binds to the exact code
+Compatibility policy (version 2): a snapshot binds to the exact code
 tree (sha256 over the package's ``*.py`` files) and to caller-supplied
 fingerprints (the run's config).  Loading refuses a version or
 fingerprint mismatch with :class:`CheckpointMismatch` — resumption is
@@ -48,7 +48,7 @@ from repro.core.chunked import spill_transfer
 #: way old readers cannot interpret.  Policy: no cross-version loading —
 #: a checkpoint is a resume token for one code tree, not an archive
 #: format (see README "Crash safety & resume").
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MANIFEST = "MANIFEST.json"
 _STATE = "state.pkl"

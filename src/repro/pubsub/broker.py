@@ -37,7 +37,7 @@ from repro.network.measurement import LinkMonitor
 from repro.pubsub.faults import DeadLetterRecord, FaultLedger
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
-from repro.pubsub.subscription import SubscriptionTable, TableRow
+from repro.pubsub.subscription import RowBatch, SubscriptionTable, TableRow
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
 
@@ -188,23 +188,21 @@ class Broker:
         )
         self.queues[neighbor] = OutputQueue(neighbor, link, monitor, deliver, sched)
 
-    def install(self, row: TableRow, preds=None) -> None:
-        if row.next_hop is not None and row.next_hop not in self.queues:
-            raise ValueError(
-                f"{self.name}: row for {row.subscriber!r} routes via unwired "
-                f"neighbor {row.next_hop!r}"
-            )
-        self.table.install(row, preds=preds)
+    def install(self, row: TableRow) -> None:
+        self.install_many(RowBatch.from_rows([row]))
 
-    def install_many(self, pairs: list[tuple[TableRow, object]]) -> None:
-        """Bulk :meth:`install`; same wiring validation, one table call."""
-        for row, _ in pairs:
-            if row.next_hop is not None and row.next_hop not in self.queues:
+    def install_many(self, batch: RowBatch) -> None:
+        """Install a batch of rows; every next hop must be a wired
+        neighbor (checked per distinct route, before any write)."""
+        for r, (next_hop, *_) in enumerate(batch.routes):
+            if next_hop is not None and next_hop not in self.queues:
+                first = int(np.flatnonzero(batch.route == r)[0])
+                subscriber = batch.subscriptions.names[batch.sub[first]]
                 raise ValueError(
-                    f"{self.name}: row for {row.subscriber!r} routes via unwired "
-                    f"neighbor {row.next_hop!r}"
+                    f"{self.name}: row for {subscriber!r} routes via unwired "
+                    f"neighbor {next_hop!r}"
                 )
-        self.table.install_many(pairs)
+        self.table.install_many(batch)
 
     # ------------------------------------------------------------------ #
     # Message path.

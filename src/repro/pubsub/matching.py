@@ -18,6 +18,12 @@ Three implementations behind one protocol:
   (the differential tests assert it); mutation recompiles the touched
   indexes lazily, so install-then-match workloads pay one build.
 
+Bulk registration is columnar: :class:`PredicateColumns` flattens a
+batch's conjunctive predicates CSR-style over interned (attribute, op)
+keys, and every engine's ``add_many`` accepts it next to the keys.  The
+vector engine appends whole (value, id) arrays per index; the oracle and
+brute engines expand the columns back to ``(key, filter)`` items.
+
 Engines are generic over an opaque ``key`` so both the global population
 (for the delivery-rate denominator) and per-broker tables reuse them.
 :func:`make_matcher` builds one by backend name (the ``matcher_backend``
@@ -30,13 +36,128 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Generic, Hashable, Iterable, Mapping, Protocol, TypeVar
+from dataclasses import dataclass
+from typing import Generic, Hashable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from repro.pubsub.filters import Filter, Predicate, conjunction_predicates
 
 K = TypeVar("K", bound=Hashable)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PredicateColumns:
+    """The predicates of a batch of filters, as columns.
+
+    Filters are interned by identity (a Zipf pool gives 100k
+    subscriptions a few dozen distinct filter objects), and the distinct
+    filters' pure-conjunction predicates are flattened CSR-style: distinct
+    filter ``f`` owns predicates ``indptr[f]:indptr[f + 1]`` of ``index``
+    (ids into the interned ``(attribute, op)`` ``keys``) and ``values``.
+    ``conjunctive[f]`` is False for filters the counting index cannot
+    take (they fall back to brute force).  ``fid`` maps each batch entry
+    to its distinct filter, so a subset of the batch — one broker's rows —
+    is :meth:`take`, a gather of ``fid`` alone.
+    """
+
+    filters: list[Filter]
+    conjunctive: np.ndarray
+    indptr: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
+    keys: list[tuple[str, str]]
+    fid: np.ndarray
+
+    @classmethod
+    def from_filters(cls, filters: Sequence[Filter]) -> "PredicateColumns":
+        n = len(filters)
+        if n <= 1:
+            first = fid = np.arange(n, dtype=np.int64)
+        else:
+            idents = np.fromiter(map(id, filters), dtype=np.int64, count=n)
+            _, first, inverse = np.unique(idents, return_index=True, return_inverse=True)
+            rank = np.empty(first.shape[0], dtype=np.int64)
+            rank[np.argsort(first, kind="stable")] = np.arange(first.shape[0], dtype=np.int64)
+            fid = rank[inverse]
+            first = np.sort(first)
+        distinct = [filters[i] for i in first.tolist()]
+        key_id: dict[tuple[str, str], int] = {}
+        indptr = [0]
+        index: list[int] = []
+        values: list[float] = []
+        conjunctive = []
+        for f in distinct:
+            preds = conjunction_predicates(f)
+            conjunctive.append(preds is not None)
+            for p in preds or ():
+                index.append(key_id.setdefault((p.attribute, p.op), len(key_id)))
+                values.append(p.value)
+            indptr.append(len(index))
+        return cls(
+            distinct,
+            np.array(conjunctive, dtype=bool),
+            np.array(indptr, dtype=np.int64),
+            np.array(index, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+            list(key_id),
+            fid,
+        )
+
+    def take(self, entries: np.ndarray) -> "PredicateColumns":
+        """The columns of a subset of the batch, in ``entries`` order."""
+        return PredicateColumns(
+            self.filters, self.conjunctive, self.indptr, self.index,
+            self.values, self.keys, self.fid[entries],
+        )
+
+    def entry_filters(self) -> list[Filter]:
+        """One filter per batch entry (the generic per-item fallback)."""
+        filters = self.filters
+        return [filters[f] for f in self.fid.tolist()]
+
+    def __len__(self) -> int:
+        return int(self.fid.shape[0])
+
+
+def distinct_in_order(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, in first-appearance order."""
+    if values.shape[0] < 2 or bool((values[1:] > values[:-1]).all()):
+        return values
+    distinct, first = np.unique(values, return_index=True)
+    return distinct[np.argsort(first, kind="stable")]
+
+
+def _batch(items, columns: PredicateColumns | None) -> tuple[list, PredicateColumns]:
+    """Normalise ``add_many``'s two call forms to ``(keys, columns)``:
+    ``(key, filter)`` items, or keys aligned with ``columns``' entries."""
+    if columns is None:
+        pairs = list(items)
+        return [k for k, _ in pairs], PredicateColumns.from_filters([f for _, f in pairs])
+    keys = items.tolist() if isinstance(items, np.ndarray) else list(items)
+    if len(keys) != len(columns):
+        raise ValueError(f"{len(keys)} keys for {len(columns)} predicate entries")
+    return keys, columns
+
+
+def _check_new_keys(keys: list, existing) -> None:
+    """Raise KeyError on a key already present or repeated in the batch."""
+    if len(set(keys)) != len(keys) or any(map(existing, keys)):
+        seen: set = set()
+        for key in keys:
+            if key in seen or existing(key):
+                raise KeyError(f"duplicate key {key!r}")
+            seen.add(key)
+
+
+def _add_each(engine, items, columns: PredicateColumns | None) -> None:
+    """``add_many`` of the engines that index one filter at a time: the
+    columns expand back to ``(key, filter)`` items, checked as a batch,
+    then added in order."""
+    keys, columns = _batch(items, columns)
+    _check_new_keys(keys, engine.__contains__)
+    for key, filter_ in zip(keys, columns.entry_filters()):
+        engine.add(key, filter_)
 
 
 class MatchingEngine(Protocol[K]):
@@ -59,18 +180,14 @@ class BruteForceMatcher(Generic[K]):
     def __init__(self) -> None:
         self._filters: dict[K, Filter] = {}
 
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
+    def add(self, key: K, filter_: Filter) -> None:
         if key in self._filters:
             raise KeyError(f"duplicate key {key!r}")
         self._filters[key] = filter_
 
-    def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
-    ) -> None:
-        for key, filter_ in items:
-            self.add(key, filter_)
+    def add_many(self, items, columns: PredicateColumns | None = None) -> None:
+        """``(key, filter)`` items, or keys aligned with ``columns``."""
+        _add_each(self, items, columns)
 
     def remove(self, key: K) -> None:
         del self._filters[key]
@@ -111,34 +228,6 @@ class _AttrOpIndex:
         else:
             self._thresholds.insert(i, value)
             self._keys.insert(i, [key])
-
-    def add_many(self, pairs: Iterable[tuple[float, object]]) -> None:
-        """Bulk insert: one sort + linear merge instead of per-add
-        ``list.insert`` (O((n+m)·log m) versus O(n·m) for m adds into an
-        n-threshold index).  Equivalent to calling :meth:`add` per pair in
-        iteration order — keys sharing a threshold keep that order.
-        """
-        incoming = sorted(pairs, key=lambda p: p[0])  # stable: preserves add order
-        if not incoming:
-            return
-        merged_t: list[float] = []
-        merged_k: list[list] = []
-        i = j = 0
-        t, ks = self._thresholds, self._keys
-        while i < len(t) or j < len(incoming):
-            if j >= len(incoming) or (i < len(t) and t[i] <= incoming[j][0]):
-                merged_t.append(t[i])
-                merged_k.append(ks[i])
-                i += 1
-            else:
-                value, key = incoming[j]
-                if merged_t and merged_t[-1] == value:
-                    merged_k[-1].append(key)
-                else:
-                    merged_t.append(value)
-                    merged_k.append([key])
-                j += 1
-        self._thresholds, self._keys = merged_t, merged_k
 
     def remove(self, value: float, key) -> None:
         i = bisect.bisect_left(self._thresholds, value)
@@ -191,11 +280,10 @@ class CountingIndexMatcher(Generic[K]):
         #: does not rescan ``_predicate_count`` on every call.
         self._match_all: set[K] = set()
 
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
+    def add(self, key: K, filter_: Filter) -> None:
         if key in self._predicate_count or key in self._fallback:
             raise KeyError(f"duplicate key {key!r}")
-        if preds is None:
-            preds = conjunction_predicates(filter_)
+        preds = conjunction_predicates(filter_)
         if preds is None:
             self._fallback.add(key, filter_)
             return
@@ -209,39 +297,12 @@ class CountingIndexMatcher(Generic[K]):
                 idx = self._indexes[(p.attribute, p.op)] = _AttrOpIndex(p.op)
             idx.add(p.value, key)
 
-    def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
-    ) -> None:
-        """Bulk registration: predicates are grouped per (attribute, op)
-        index and inserted with one sorted merge each.  Matching behaviour
-        is identical to adding the items one at a time, in order.
-        """
-        items = list(items)
-        seen: set[K] = set()
-        for key, _ in items:
-            if key in self._predicate_count or key in seen or key in self._fallback:
-                raise KeyError(f"duplicate key {key!r}")
-            seen.add(key)
-        if preds_list is None:
-            preds_list = [conjunction_predicates(f) for _, f in items]
-        batches: dict[tuple[str, str], list[tuple[float, K]]] = defaultdict(list)
-        for (key, filter_), preds in zip(items, preds_list):
-            if preds is None:
-                self._fallback.add(key, filter_)
-                continue
-            self._predicate_count[key] = len(preds)
-            self._predicates[key] = preds
-            if not preds:
-                self._match_all.add(key)
-            for p in preds:
-                batches[(p.attribute, p.op)].append((p.value, key))
-        for (attr, op), pairs in batches.items():
-            idx = self._indexes.get((attr, op))
-            if idx is None:
-                idx = self._indexes[(attr, op)] = _AttrOpIndex(op)
-            idx.add_many(pairs)
+    def __contains__(self, key: K) -> bool:
+        return key in self._predicate_count or key in self._fallback
+
+    def add_many(self, items, columns: PredicateColumns | None = None) -> None:
+        """``(key, filter)`` items, or keys aligned with ``columns``."""
+        _add_each(self, items, columns)
 
     def remove(self, key: K) -> None:
         preds = self._predicates.pop(key, None)
@@ -274,56 +335,90 @@ class CountingIndexMatcher(Generic[K]):
         return len(self._predicate_count) + len(self._fallback)
 
 
+def reserve(buf: np.ndarray, need: int) -> np.ndarray:
+    """``buf`` with room for ``need`` slots along its last axis: ``buf``
+    itself, or a copy with (at least) doubled capacity.  Growable numpy
+    columns append in amortised O(1) per element."""
+    cap = buf.shape[-1]
+    if need <= cap:
+        return buf
+    grown = np.empty(buf.shape[:-1] + (max(need, 2 * cap, 16),), dtype=buf.dtype)
+    grown[..., :cap] = buf
+    return grown
+
+
 class _VecAttrOpIndex:
     """One (attribute, op) index over interned ids, compiled to numpy.
 
-    Raw ``(threshold, id)`` pairs accumulate in a list; :meth:`compile`
-    sorts them once into a sorted unique ``thresholds`` array plus a
-    CSR-style layout (``ids`` concatenated per threshold, ``starts`` as
-    the indptr).  Every comparison op then reduces to one
-    ``np.searchsorted`` and a contiguous slice (prefix for ``>``/``>=``,
-    suffix for ``<``/``<=``, a single span for ``==``, its complement for
-    ``!=``) — the satisfied-id set comes out as array views, no per-key
-    Python iteration.
+    Raw ``(threshold, id)`` entries accumulate in two growable columns
+    (the first ``n`` slots are used); :meth:`compile` sorts them once
+    into a sorted unique ``thresholds`` array plus a CSR-style layout
+    (``ids`` concatenated per threshold, ``starts`` as the indptr).
+    Every comparison op then reduces to one ``np.searchsorted`` and a
+    contiguous slice (prefix for ``>``/``>=``, suffix for ``<``/``<=``, a
+    single span for ``==``, its complement for ``!=``) — the satisfied-id
+    set comes out as array views, no per-key Python iteration.
     """
 
-    __slots__ = ("op", "entries", "dirty", "_thresholds", "_starts", "_ids")
+    __slots__ = ("op", "n", "values", "ids", "dirty", "_thresholds", "_starts", "_ids")
 
     def __init__(self, op: str) -> None:
         self.op = op
-        self.entries: list[tuple[float, int]] = []
+        self.n = 0
+        self.values = np.empty(0)
+        self.ids = np.empty(0, dtype=np.int64)
         self.dirty = True
         self._thresholds = np.empty(0)
         self._starts = np.zeros(1, dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
 
-    def add(self, value: float, id_: int) -> None:
-        self.entries.append((value, id_))
+    def append(self, values: np.ndarray, ids: np.ndarray) -> None:
+        """Append entries in order (the stable compile sort keeps that
+        order among equal thresholds)."""
+        n = self.n
+        m = n + values.shape[0]
+        self.values = reserve(self.values, m)
+        self.values[n:m] = values
+        self.ids = reserve(self.ids, m)
+        self.ids[n:m] = ids
+        self.n = m
         self.dirty = True
 
-    def add_many(self, pairs: list[tuple[float, int]]) -> None:
-        """Bulk append; equivalent to :meth:`add` per pair in order (the
-        stable compile sort makes entry order irrelevant anyway)."""
-        self.entries.extend(pairs)
+    def remap(self, new_id: np.ndarray) -> None:
+        """Renumber entry ids through ``new_id`` (old id -> new id), dropping
+        entries whose id maps to −1; entry order is kept."""
+        ids = new_id[self.ids[: self.n]]
+        kept = ids >= 0
+        self.values = self.values[: self.n][kept]
+        self.ids = ids[kept]
+        self.n = int(self.ids.shape[0])
         self.dirty = True
 
     def compile(self) -> None:
         if not self.dirty:
             return
-        if self.entries:
-            values = np.array([v for v, _ in self.entries])
-            ids = np.array([i for _, i in self.entries], dtype=np.int64)
+        if self.n:
+            values = self.values[: self.n]
             order = np.argsort(values, kind="stable")
-            values, ids = values[order], ids[order]
+            values = values[order]
             thresholds, first = np.unique(values, return_index=True)
             self._thresholds = thresholds
-            self._starts = np.append(first, len(values))
-            self._ids = ids
+            self._starts = np.append(first, values.shape[0])
+            self._ids = self.ids[: self.n][order]
         else:
             self._thresholds = np.empty(0)
             self._starts = np.zeros(1, dtype=np.int64)
             self._ids = np.empty(0, dtype=np.int64)
         self.dirty = False
+
+    def __getstate__(self) -> dict:
+        # Snapshots carry the used entries only; the compiled layout is
+        # rebuilt on first use after a restore (same sort, same result).
+        return {"op": self.op, "values": self.values[: self.n], "ids": self.ids[: self.n]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["op"])
+        self.append(state["values"], state["ids"])
 
     def collect(self, v: float, out: list[np.ndarray]) -> None:
         """Append the satisfied-id array views for message value ``v``."""
@@ -360,9 +455,10 @@ class VectorCountingMatcher(Generic[K]):
 
     Keys are interned to contiguous integer ids; a match concatenates the
     per-index satisfied-id slices and compares one ``np.bincount`` against
-    the per-id predicate totals.  Ids are append-only (removals leave a
-    ``_NEVER`` total behind), so compiled indexes stay valid across
-    removals and only the touched (attribute, op) indexes recompile.
+    the per-id predicate totals (a growable int64 column).  Ids are
+    append-only (removals leave a ``_NEVER`` total behind), so compiled
+    indexes stay valid across removals and only the touched (attribute,
+    op) indexes recompile.
 
     Non-conjunctive filters degrade to brute force and empty conjunctions
     live in a cached match-all set, exactly as in
@@ -373,14 +469,12 @@ class VectorCountingMatcher(Generic[K]):
         self._indexes: dict[tuple[str, str], _VecAttrOpIndex] = {}
         self._keys: list[K] = []  # id -> key
         self._id_of: dict[K, int] = {}
-        self._required: list[int] = []  # id -> predicate total (or _NEVER)
-        self._predicates: dict[K, tuple[Predicate, ...]] = {}
+        #: id -> predicate total (or _NEVER); the first len(_keys) slots.
+        self._required = np.empty(0, dtype=np.int64)
         self._match_all: set[K] = set()
         self._fallback = BruteForceMatcher[K]()
         self._live = 0
-        self._required_arr = np.empty(0, dtype=np.int64)
         self._key_arr = np.empty(0, dtype=np.int64)  # id -> key, int keys only
-        self._required_dirty = True
         # Removal is tombstone-based: a removed id's predicate total goes to
         # _NEVER, so its (still-indexed) entries can inflate bincount inputs
         # but can never win the count test.  Once the tombstones outnumber
@@ -388,7 +482,7 @@ class VectorCountingMatcher(Generic[K]):
         # whole id space — dead entries leave the indexes and surviving ids
         # are remapped to stay dense — so remove is O(1) amortised and
         # per-match bincount width tracks live keys, not cumulative adds.
-        self._dead_ids: set[int] = set()
+        self._dead_count = 0
         self._dead_entries = 0
         self._total_entries = 0
         #: True while every key equals its own interned id (the
@@ -400,113 +494,108 @@ class VectorCountingMatcher(Generic[K]):
     # -------------------------------------------------------------- #
     # Mutation.
     # -------------------------------------------------------------- #
-    def _intern(self, key: K, n_predicates: int) -> int:
-        id_ = len(self._keys)
-        self._keys.append(key)
-        self._id_of[key] = id_
-        self._required.append(n_predicates if n_predicates > 0 else _NEVER)
-        self._required_dirty = True
-        if self._keys_identity and key != id_:
-            self._keys_identity = False
-        return id_
+    def add(self, key: K, filter_: Filter) -> None:
+        self.add_many([key], PredicateColumns.from_filters([filter_]))
 
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
-        if key in self._predicates or key in self._fallback:
-            raise KeyError(f"duplicate key {key!r}")
-        if preds is None:
-            preds = conjunction_predicates(filter_)
-        if preds is None:
-            self._fallback.add(key, filter_)
-            return
-        id_ = self._intern(key, len(preds))
-        self._predicates[key] = preds
-        self._live += 1
-        self._total_entries += len(preds)
-        if not preds:
-            self._match_all.add(key)
-        for p in preds:
-            idx = self._indexes.get((p.attribute, p.op))
-            if idx is None:
-                idx = self._indexes[(p.attribute, p.op)] = _VecAttrOpIndex(p.op)
-            idx.add(p.value, id_)
+    def add_many(self, items, columns: PredicateColumns | None = None) -> None:
+        """Bulk registration of ``(key, filter)`` items, or of keys (a
+        sequence or an int array) aligned with ``columns``' entries.
 
-    def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
-    ) -> None:
-        """Bulk registration: interning happens in item order (so ids are
-        the same as sequential :meth:`add` calls) but predicate entries
-        are grouped per (attribute, op) index and appended with one
-        ``extend`` each.  ``preds_list`` lets the caller reuse already-
-        computed :func:`conjunction_predicates` results.
+        Interning happens in entry order, so ids are the same as
+        sequential :meth:`add` calls; each touched index then takes one
+        (value, id) array append.  Nothing is registered if a key is a
+        duplicate.
         """
-        items = list(items)
-        seen: set[K] = set()
-        for key, _ in items:
-            if key in self._predicates or key in seen or key in self._fallback:
-                raise KeyError(f"duplicate key {key!r}")
-            seen.add(key)
-        if preds_list is None:
-            preds_list = [conjunction_predicates(f) for _, f in items]
-        per_index: dict[tuple[str, str], list[tuple[float, int]]] = {}
-        predicates = self._predicates
-        setdefault = per_index.setdefault
-        for (key, filter_), preds in zip(items, preds_list):
-            if preds is None:
-                self._fallback.add(key, filter_)
-                continue
-            id_ = self._intern(key, len(preds))
-            predicates[key] = preds
-            self._live += 1
-            self._total_entries += len(preds)
-            if not preds:
-                self._match_all.add(key)
-            for p in preds:
-                setdefault((p.attribute, p.op), []).append((p.value, id_))
-        for (attr, op), pairs in per_index.items():
-            idx = self._indexes.get((attr, op))
+        keys, columns = _batch(items, columns)
+        fallback = self._fallback
+        id_of = self._id_of
+        _check_new_keys(
+            keys,
+            id_of.__contains__ if not len(fallback)
+            else (lambda k: k in id_of or k in fallback),
+        )
+        fid = columns.fid
+        conjunctive = columns.conjunctive[fid]
+        if not conjunctive.all():
+            for i in np.flatnonzero(~conjunctive).tolist():
+                fallback.add(keys[i], columns.filters[fid[i]])
+            kept = np.flatnonzero(conjunctive)
+            fid = fid[kept]
+            keys = [keys[i] for i in kept.tolist()]
+        m = len(keys)
+        if not m:
+            return
+        start = len(self._keys)
+        ids = np.arange(start, start + m, dtype=np.int64)
+        self._keys.extend(keys)
+        id_of.update(zip(keys, range(start, start + m)))
+        if self._keys_identity:
+            self._keys_identity = keys == ids.tolist()
+        indptr = columns.indptr
+        counts = (indptr[1:] - indptr[:-1])[fid]
+        self._required = reserve(self._required, start + m)
+        self._required[start:start + m] = np.where(counts > 0, counts, _NEVER)
+        if not counts.all():
+            for i in np.flatnonzero(counts == 0).tolist():
+                self._match_all.add(keys[i])
+        self._live += m
+        total = int(counts.sum())
+        self._total_entries += total
+        if not total:
+            return
+        # Expand each entry's CSR span: entry e's predicates sit at
+        # indptr[fid[e]] + 0 .. counts[e] - 1 of the flat columns.
+        ends = np.cumsum(counts)
+        pos = np.arange(total, dtype=np.int64) + np.repeat(indptr[fid] - (ends - counts), counts)
+        index = columns.index[pos]
+        values = columns.values[pos]
+        owner = np.repeat(ids, counts)
+        # Indexes are created in first-appearance order, as sequential adds
+        # would create them.
+        for k in distinct_in_order(index).tolist():
+            attr_op = columns.keys[k]
+            idx = self._indexes.get(attr_op)
             if idx is None:
-                idx = self._indexes[(attr, op)] = _VecAttrOpIndex(op)
-            idx.add_many(pairs)
+                idx = self._indexes[attr_op] = _VecAttrOpIndex(attr_op[1])
+            mask = index == k
+            idx.append(values[mask], owner[mask])
 
     def remove(self, key: K) -> None:
-        preds = self._predicates.pop(key, None)
-        if preds is None:
+        id_ = self._id_of.pop(key, None)
+        if id_ is None:
             self._fallback.remove(key)
             return
-        id_ = self._id_of.pop(key)
+        n_predicates = int(self._required[id_])
         self._required[id_] = _NEVER
-        self._required_dirty = True
         self._match_all.discard(key)
         self._live -= 1
-        self._dead_ids.add(id_)
-        self._dead_entries += len(preds)
+        self._dead_count += 1
+        self._dead_entries += max(n_predicates, 0)
         if (self._dead_entries * 2 > self._total_entries
-                or len(self._dead_ids) * 2 > len(self._keys)):
+                or self._dead_count * 2 > len(self._keys)):
             self._purge_dead()
 
     def _purge_dead(self) -> None:
         """Compact the id space (amortised): drop tombstoned entries from
         every index and remap surviving ids to be dense again, so neither
         match cost nor id-table memory grows with cumulative churn."""
-        live = sorted(self._id_of.items(), key=lambda kv: kv[1])  # by old id
-        remap = {old: new for new, (_, old) in enumerate(live)}
-        self._keys = [key for key, _ in live]
-        self._required = [self._required[old] for _, old in live]
-        self._id_of = {key: new for new, (key, _) in enumerate(live)}
-        dead = self._dead_ids
+        live = np.fromiter(self._id_of.values(), dtype=np.int64, count=len(self._id_of))
+        live.sort()  # survivors keep their relative (old id) order
+        new_id = np.full(len(self._keys), -1, dtype=np.int64)
+        new_id[live] = np.arange(live.shape[0], dtype=np.int64)
+        keys = self._keys
+        self._keys = [keys[i] for i in live.tolist()]
+        self._id_of = dict(zip(self._keys, range(len(self._keys))))
+        self._required = self._required[live]
         total = 0
         for idx in self._indexes.values():
-            idx.entries = [(v, remap[i]) for v, i in idx.entries if i not in dead]
-            idx.dirty = True
-            total += len(idx.entries)
+            idx.remap(new_id)
+            total += idx.n
         self._total_entries = total
         self._dead_entries = 0
-        dead.clear()
-        self._required_dirty = True
+        self._dead_count = 0
         self._key_arr = np.empty(0, dtype=np.int64)
-        self._keys_identity = all(k == i for i, k in enumerate(self._keys))
+        self._keys_identity = self._keys == list(range(len(self._keys)))
 
     # -------------------------------------------------------------- #
     # Matching.
@@ -520,26 +609,28 @@ class VectorCountingMatcher(Generic[K]):
 
     def warm(self) -> None:
         """Eagerly build every lazy compiled structure (per-op indexes,
-        predicate totals, key gather).  Matching compiles these on first
-        use anyway; warming just moves the one-time cost out of the
-        simulation's hot loop — reachable state is identical."""
+        key gather).  Matching compiles these on first use anyway; warming
+        just moves the one-time cost out of the simulation's hot loop —
+        reachable state is identical."""
         for idx in self._indexes.values():
-            if idx.dirty:
-                idx.compile()
-        if self._required_dirty:
-            self._required_arr = np.asarray(self._required, dtype=np.int64)
-            self._required_dirty = False
-        if not self._keys_identity and len(self._key_arr) != len(self._keys):
+            idx.compile()
+        if not self._keys_identity:
             try:
-                self._key_arr = np.asarray(self._keys, dtype=np.int64)
+                self._key_array()
             except (TypeError, ValueError):
                 pass  # non-int keys never take the array path
 
+    def _key_array(self) -> np.ndarray:
+        """id -> key as int64 (int keys only), extended by the keys
+        interned since the last call."""
+        done = self._key_arr.shape[0]
+        if done != len(self._keys):
+            tail = np.asarray(self._keys[done:], dtype=np.int64)
+            self._key_arr = np.concatenate((self._key_arr, tail))
+        return self._key_arr
+
     def _indexed_hits(self, attributes: Mapping[str, float]) -> np.ndarray:
         """Ids whose predicate count equals their total (sorted ascending)."""
-        if self._required_dirty:
-            self._required_arr = np.asarray(self._required, dtype=np.int64)
-            self._required_dirty = False
         chunks: list[np.ndarray] = []
         for (attr, _op), idx in self._indexes.items():
             v = attributes.get(attr)
@@ -553,8 +644,9 @@ class VectorCountingMatcher(Generic[K]):
         satisfied = np.concatenate(chunks)
         if satisfied.size == 0:
             return satisfied
-        counts = np.bincount(satisfied, minlength=len(self._required_arr))
-        return np.flatnonzero(counts == self._required_arr)
+        n = len(self._keys)
+        counts = np.bincount(satisfied, minlength=n)
+        return np.flatnonzero(counts == self._required[:n])
 
     def match(self, attributes: Mapping[str, float]) -> set[K]:
         keys = self._keys
@@ -575,9 +667,7 @@ class VectorCountingMatcher(Generic[K]):
             # Keys == ids: the hit array (already sorted ascending, as it
             # comes from flatnonzero) is the answer with no gather.
             return hits
-        if len(self._key_arr) != len(self._keys):
-            self._key_arr = np.asarray(self._keys, dtype=np.int64)
-        parts = [self._key_arr[hits]] if hits.size else []
+        parts = [self._key_array()[hits]] if hits.size else []
         if self._match_all:
             parts.append(np.fromiter(self._match_all, dtype=np.int64, count=len(self._match_all)))
         if len(self._fallback):

@@ -52,7 +52,7 @@ from repro.core import profiling
 from repro.core.success import effective_deadline_array
 from repro.des.simulator import Simulator
 from repro.pubsub.engine import DEFAULT_WINDOW_MS, FusedEngine
-from repro.pubsub.subscription import RowGroup, SubscriptionTable
+from repro.pubsub.subscription import RowBatch, RowGroup, SubscriptionTable
 from repro.sim.shard import (
     SHARD_BACKENDS,
     ShardConfigError,
@@ -73,12 +73,20 @@ MAX_EPOCH_MS = 250.0
 # ---------------------------------------------------------------------- #
 def _replay_ops(table: SubscriptionTable, ops: list[tuple[str, object]]) -> None:
     """Apply a journal slice to a replica table (same op order as the
-    coordinator → identical interned ids and version counter)."""
+    coordinator → identical interned ids and version counter).  Each run
+    of consecutive installs replays as one bulk install, which ends in
+    the same state as the row-by-row installs it records."""
+    rows: list = []
     for kind, payload in ops:
         if kind == "i":
-            table.install(payload)  # type: ignore[arg-type]
-        else:
-            table.uninstall(payload)  # type: ignore[arg-type]
+            rows.append(payload)
+            continue
+        if rows:
+            table.install_many(RowBatch.from_rows(rows))
+            rows = []
+        table.uninstall(payload)  # type: ignore[arg-type]
+    if rows:
+        table.install_many(RowBatch.from_rows(rows))
 
 
 def _encode_batch(table: SubscriptionTable, jobs: list) -> tuple:

@@ -8,10 +8,9 @@ Responsibilities:
 * attach a :class:`~repro.network.measurement.LinkMonitor` per direction
   (oracle or estimated parameters);
 * install subscriptions: for each subscriber, compute the min-mean-TR sink
-  tree rooted at its edge broker, then place one
-  :class:`~repro.pubsub.subscription.TableRow` on every broker lying on a
-  routed path from some publisher-hosting broker, recording *which*
-  source brokers route through it.  The provenance check in
+  tree rooted at its edge broker, then place one subscription-table row
+  on every broker lying on a routed path from some publisher-hosting
+  broker, recording *which* source brokers route through it.  The provenance check in
   :meth:`SubscriptionTable.match` then guarantees each (message,
   subscriber) pair travels exactly one path — single-path routing with no
   duplicate deliveries, as Section 3.3 requires;
@@ -43,11 +42,10 @@ from repro.pubsub.broker import Broker
 from repro.pubsub.client import DeliveryLog, PublisherHandle, SubscriberHandle
 from repro.pubsub.engine import ENGINE_BACKENDS, make_engine
 from repro.pubsub.faults import FaultLedger
-from repro.pubsub.filters import conjunction_predicates
 from repro.pubsub.matching import MATCHER_BACKENDS, MatchingEngine, make_matcher
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import METRICS_BACKENDS, MetricsCollector, make_metrics
-from repro.pubsub.subscription import Subscription, TableRow
+from repro.pubsub.subscription import RowBatch, Subscription, SubscriptionColumns
 from repro.stats.normal import Normal
 
 
@@ -422,30 +420,57 @@ class PubSubSystem:
         in-flight older message, which would break the ``ds_i <= ts_i``
         accounting invariant.
         """
-        name = subscription.subscriber
-        if name in self._subscriptions:
-            raise ValueError(f"subscriber {name!r} already has a subscription")
-        edge = self.topology.subscriber_brokers.get(name)
-        if edge is None:
-            raise TopologyError(f"subscriber {name!r} is not attached to any broker")
+        self.subscribe_all([subscription])
+        return self.subscribers[subscription.subscriber]
 
+    def subscribe_all(self, subscriptions: list[Subscription]) -> None:
+        """Install a population in bulk (:meth:`subscribe` is the
+        one-entry case).
+
+        The whole batch is checked first — a name already subscribed or
+        repeated in the batch raises ValueError, an unattached subscriber
+        TopologyError — and nothing changes if a check fails.  The
+        subscriptions' predicates are then laid out once as columns, and
+        each broker's rows are one numpy gather over the cached per-edge
+        install plans, installed with one
+        :meth:`~repro.pubsub.subscription.SubscriptionTable.install_many`
+        per table.  The end state equals subscribing the entries one at a
+        time, in order: per-table row order, interned ids, version counts,
+        endpoint ids and (when armed) journal entries.
+        """
+        subscriptions = list(subscriptions)
+        edges: list[str] = []
+        seen: set[str] = set()
+        for subscription in subscriptions:
+            name = subscription.subscriber
+            if name in self._subscriptions or name in seen:
+                raise ValueError(f"subscriber {name!r} already has a subscription")
+            seen.add(name)
+            edge = self.topology.subscriber_brokers.get(name)
+            if edge is None:
+                raise TopologyError(f"subscriber {name!r} is not attached to any broker")
+            edges.append(edge)
+        if not subscriptions:
+            return
+        columns = SubscriptionColumns(subscriptions)
         if self.config.routing.is_single_path:
-            self._install_single_path(subscription, edge)
+            batches = self._single_path_batches(columns, edges)
         else:
-            self._install_multi_path(subscription, edge)
+            batches = self._multi_path_batches(columns, edges)
 
-        self._subscriptions[name] = subscription
-        self._population.add(name, subscription.filter)
-        handle = SubscriberHandle(name, log=self.delivery_log)
-        self.subscribers[name] = handle
+        self._subscriptions.update(zip(columns.names.tolist(), subscriptions))
+        self._population.add_many(columns.names, columns.predicates)
         # Endpoint ids are handed out sequentially and only here, so the
         # price list stays index-aligned with the shared delivery log.
-        assert handle.log_id == len(self._endpoint_price)
-        self._endpoint_price.append(
-            subscription.price if subscription.price is not None else 1.0
-        )
-        self._patch_endpoint_ids(name, handle.log_id)
-        return handle
+        assert self.delivery_log.endpoint_count == len(self._endpoint_price)
+        for name in columns.names.tolist():
+            handle = SubscriberHandle(name, log=self.delivery_log)
+            self.subscribers[name] = handle
+            if self._endpoint_ids:
+                self._patch_endpoint_ids(name, handle.log_id)
+        self._endpoint_price.extend(columns.scoring[1].tolist())
+        for node, batch in batches.items():
+            self.brokers[node].install_many(batch)
 
     def _install_plan(self, edge: str) -> list:
         """The single-path install plan shared by every subscriber at one
@@ -474,101 +499,82 @@ class PubSubSystem:
         self._install_plans[edge] = (n_pubs, plan)
         return plan
 
-    def _install_single_path(self, subscription: Subscription, edge: str) -> None:
-        preds = conjunction_predicates(subscription.filter)
-        min_msg = self._next_msg_id
-        for node, next_hop, nn, rate, sources in self._install_plan(edge):
-            self.brokers[node].install(
-                TableRow(
-                    subscription=subscription,
-                    next_hop=next_hop,
-                    nn=nn,
-                    rate=rate,
-                    sources=sources,
-                    min_msg_id=min_msg,
-                ),
-                preds=preds,
-            )
+    def _single_path_batches(
+        self, columns: SubscriptionColumns, edges: list[str]
+    ) -> dict[str, RowBatch]:
+        """One batch per on-path broker, brokers in first-use order.
 
-    def _install_multi_path(self, subscription: Subscription, edge: str) -> None:
+        Each broker holds one route per edge whose plan passes through
+        it; a subscriber's row there is the route of its edge, so the
+        broker's rows are one gather of a per-edge route column.
+        """
+        edge_id: dict[str, int] = {}
+        edge_of = np.fromiter(
+            (edge_id.setdefault(e, len(edge_id)) for e in edges),
+            dtype=np.int64, count=len(edges),
+        )
+        per_node: dict[str, tuple[list, np.ndarray]] = {}
+        for e, edge in enumerate(edge_id):
+            for node, next_hop, nn, rate, sources in self._install_plan(edge):
+                entry = per_node.get(node)
+                if entry is None:
+                    entry = per_node[node] = ([], np.full(len(edge_id), -1, dtype=np.int64))
+                routes, route_of_edge = entry
+                route_of_edge[e] = len(routes)
+                routes.append((next_hop, nn, rate, sources))
+        batches: dict[str, RowBatch] = {}
+        for node, (routes, route_of_edge) in per_node.items():
+            route = route_of_edge[edge_of]
+            sub = np.flatnonzero(route >= 0)
+            batches[node] = RowBatch(
+                columns, sub, routes, route[sub],
+                np.full(sub.shape[0], self._next_msg_id, dtype=np.int64),
+            )
+        return batches
+
+    def _multi_path_batches(
+        self, columns: SubscriptionColumns, edges: list[str]
+    ) -> dict[str, RowBatch]:
+        """Up to ``k`` routed paths per (publisher broker, subscriber):
+        one row per (path, on-path broker), path ids numbered per
+        subscriber."""
         mode = self.config.routing
         graph = self.topology.graph_view()
-        path_id = 0
-        for source in sorted(set(self.topology.publisher_brokers.values())):
-            if source == edge:
-                paths: list[list[str]] = [[edge]]
-            else:
-                min_hops = nx.shortest_path_length(graph, source, edge)
-                paths = k_shortest_paths(
-                    self.topology, source, edge, k=mode.k,
-                    cutoff=min_hops + mode.extra_hops,
-                )
-            for path in paths:
-                for i, node in enumerate(path):
-                    suffix = path[i:]
-                    self.brokers[node].install(
-                        TableRow(
-                            subscription=subscription,
-                            next_hop=path[i + 1] if i + 1 < len(path) else None,
-                            nn=len(suffix) - 1,
-                            rate=path_distribution(self.topology, suffix),
-                            sources=frozenset({source}),
-                            path_id=path_id,
-                            min_msg_id=self._next_msg_id,
-                        )
+        sources = sorted(set(self.topology.publisher_brokers.values()))
+        per_node: dict[str, tuple[list[int], list, list[int]]] = {}
+        for j, edge in enumerate(edges):
+            path_id = 0
+            for source in sources:
+                if source == edge:
+                    paths: list[list[str]] = [[edge]]
+                else:
+                    min_hops = nx.shortest_path_length(graph, source, edge)
+                    paths = k_shortest_paths(
+                        self.topology, source, edge, k=mode.k,
+                        cutoff=min_hops + mode.extra_hops,
                     )
-                path_id += 1
-
-    def subscribe_all(self, subscriptions: list[Subscription]) -> None:
-        """Install a population in bulk.
-
-        End state is identical to calling :meth:`subscribe` per entry in
-        order — per-table row order, interned ids, endpoint ids and (when
-        armed) journal entries are all the same — but rows are grouped
-        per broker so each table takes one bulk
-        :meth:`~repro.pubsub.subscription.SubscriptionTable.install_many`
-        instead of one call per (subscriber, on-path broker) pair: the
-        scale tier's build-phase hot path.
-        """
-        if not self.config.routing.is_single_path:
-            for subscription in subscriptions:
-                self.subscribe(subscription)
-            return
-        per_broker: dict[str, list] = {}
-        for subscription in subscriptions:
-            name = subscription.subscriber
-            if name in self._subscriptions:
-                raise ValueError(f"subscriber {name!r} already has a subscription")
-            edge = self.topology.subscriber_brokers.get(name)
-            if edge is None:
-                raise TopologyError(
-                    f"subscriber {name!r} is not attached to any broker"
-                )
-            preds = conjunction_predicates(subscription.filter)
-            min_msg = self._next_msg_id
-            for node, next_hop, nn, rate, sources in self._install_plan(edge):
-                per_broker.setdefault(node, []).append((
-                    TableRow(
-                        subscription=subscription,
-                        next_hop=next_hop,
-                        nn=nn,
-                        rate=rate,
-                        sources=sources,
-                        min_msg_id=min_msg,
-                    ),
-                    preds,
-                ))
-            self._subscriptions[name] = subscription
-            self._population.add(name, subscription.filter, preds=preds)
-            handle = SubscriberHandle(name, log=self.delivery_log)
-            self.subscribers[name] = handle
-            assert handle.log_id == len(self._endpoint_price)
-            self._endpoint_price.append(
-                subscription.price if subscription.price is not None else 1.0
+                for path in paths:
+                    for i, node in enumerate(path):
+                        suffix = path[i:]
+                        subs, routes, path_ids = per_node.setdefault(node, ([], [], []))
+                        subs.append(j)
+                        routes.append((
+                            path[i + 1] if i + 1 < len(path) else None,
+                            len(suffix) - 1,
+                            path_distribution(self.topology, suffix),
+                            frozenset({source}),
+                        ))
+                        path_ids.append(path_id)
+                    path_id += 1
+        return {
+            node: RowBatch(
+                columns, np.array(subs, dtype=np.int64), routes,
+                np.arange(len(routes), dtype=np.int64),
+                np.full(len(subs), self._next_msg_id, dtype=np.int64),
+                np.array(path_ids, dtype=np.int64),
             )
-            self._patch_endpoint_ids(name, handle.log_id)
-        for node, pairs in per_broker.items():
-            self.brokers[node].install_many(pairs)
+            for node, (subs, routes, path_ids) in per_node.items()
+        }
 
     def unsubscribe(self, subscriber: str) -> SubscriberHandle:
         """Remove a subscription from every broker that holds a row for it.
@@ -593,6 +599,10 @@ class PubSubSystem:
     @property
     def subscription_count(self) -> int:
         return len(self._subscriptions)
+
+    def subscription(self, subscriber: str) -> Subscription:
+        """The live subscription of ``subscriber`` (KeyError if none)."""
+        return self._subscriptions[subscriber]
 
     # ------------------------------------------------------------------ #
     # Publishing.

@@ -404,16 +404,15 @@ class DynamicsDriver:
             raise ValueError("no subscriber-hosting edge brokers to attach to")
         return edges
 
-    def _subscribe(self, name: str, broker: str, filt) -> None:
-        system = self.system
-        system.topology.attach_subscriber(name, broker)
+    def _new_subscription(self, name: str, broker: str, filt) -> Subscription:
+        """Attach ``name`` at ``broker`` and draw its subscription; the
+        caller subscribes a whole wave with one ``subscribe_all``."""
+        self.system.topology.attach_subscriber(name, broker)
         if self.scenario.subscriptions_carry_deadlines:
             deadlines = sorted(self.price_table)
             dl = deadlines[int(self._rng.integers(0, len(deadlines)))]
-            sub = Subscription(name, filt, deadline_ms=dl, price=self.price_table[dl])
-        else:
-            sub = Subscription(name, filt)
-        system.subscribe(sub)
+            return Subscription(name, filt, deadline_ms=dl, price=self.price_table[dl])
+        return Subscription(name, filt)
 
     def _churn(self, wave: ChurnWave) -> None:
         system = self.system
@@ -425,9 +424,11 @@ class DynamicsDriver:
                 system.unsubscribe(current[i])
         if wave.join:
             edges = self._edge_brokers()
+            joining = []
             for k in range(wave.join):
                 filt = random_conjunctive_filter(self._rng, self.attributes, self.value_range)
-                self._subscribe(self._next_name(), edges[k % len(edges)], filt)
+                joining.append(self._new_subscription(self._next_name(), edges[k % len(edges)], filt))
+            system.subscribe_all(joining)
 
     # ------------------------------------------------------------------ #
     # Fault interventions.
@@ -477,8 +478,10 @@ class DynamicsDriver:
         # inside the open range, so "< hi + span" can never exclude one.
         broad = Predicate(self.attributes[0], "<", hi + (hi - lo))
         edges = [crowd.broker] if crowd.broker is not None else self._edge_brokers()
-        for k in range(crowd.count):
-            self._subscribe(self._next_name(), edges[k % len(edges)], broad)
+        self.system.subscribe_all([
+            self._new_subscription(self._next_name(), edges[k % len(edges)], broad)
+            for k in range(crowd.count)
+        ])
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.latency import (
@@ -11,6 +12,7 @@ from repro.analysis.latency import (
     latency_by_subscriber,
     latency_stats,
 )
+from repro.core.folds import fold_mean
 from repro.pubsub.client import SubscriberHandle
 
 
@@ -51,6 +53,21 @@ class TestLatencyStats:
     def test_empty(self):
         stats = LatencyStats.from_samples([])
         assert stats.count == 0 and stats.mean == 0.0
+
+    def test_array_summary_equals_per_sample_reference(self):
+        # The per-sample Python form (sorted list, left-fold mean) is the
+        # reference; the array form must reproduce it bit for bit.
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 17, 1000):
+            samples = rng.gamma(2.0, 400.0, size=n).tolist()
+            ordered = sorted(samples)
+            expected = (
+                n, fold_mean(ordered), _quantile(ordered, 0.5),
+                _quantile(ordered, 0.9), _quantile(ordered, 0.99), ordered[-1],
+            )
+            stats = LatencyStats.from_samples(samples)
+            got = (stats.count, stats.mean, stats.p50, stats.p90, stats.p99, stats.maximum)
+            assert got == expected
 
     def test_pooled_over_handles(self):
         stats = latency_stats([handle("S1", [100.0]), handle("S2", [300.0])])

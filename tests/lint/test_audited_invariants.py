@@ -18,9 +18,11 @@ from __future__ import annotations
 import functools
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.pubsub.shard_engine import _replay_ops
+from repro.pubsub.subscription import _PATH, RowBatch
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, schedule_dynamics
 from repro.workload.dynamics import (
@@ -102,18 +104,37 @@ def _table_pair():
     return system, system.brokers[name].table
 
 
+def _rows_of(table, subscriber):
+    """The subscriber's live rows, in install order."""
+    sid = table._sub_id_of[subscriber]
+    return table._make_rows(np.array(table._row_ids(sid), dtype=np.int64))
+
+
+def _subscribers(table):
+    return sorted(r.subscriber for r in table.rows())
+
+
+def _row_id_of_key(table):
+    """``(subscriber, path_id) -> row id`` for every live row."""
+    return {
+        (name, int(table._i[_PATH, row_id])): row_id
+        for name, sid in table._sub_id_of.items()
+        for row_id in table._row_ids(sid)
+    }
+
+
 class TestJournalCompleteness:
     def test_every_mutation_kind_journals(self):
         system, table = _table_pair()
         table.journal = []
-        victim = sorted(table._ids_of_subscriber)[0]
-        rows = [table._rows_by_id[i] for i in table._ids_of_subscriber[victim]]
+        victim = _subscribers(table)[0]
+        rows = _rows_of(table, victim)
         table.uninstall(victim)
         assert table.journal == [("u", victim)]
         table.install(rows[0])
         assert table.journal[-1] == ("i", rows[0])
         if rows[1:]:
-            table.install_many([(r, None) for r in rows[1:]])
+            table.install_many(RowBatch.from_rows(rows[1:]))
             assert table.journal[2:] == [("i", r) for r in rows[1:]]
         assert len(table.journal) == 1 + len(rows)
 
@@ -126,18 +147,15 @@ class TestJournalCompleteness:
         replica.journal = None
         table.journal = []
 
-        victims = sorted(table._ids_of_subscriber)[:2]
-        stashed = {
-            v: [table._rows_by_id[i] for i in table._ids_of_subscriber[v]]
-            for v in victims
-        }
+        victims = _subscribers(table)[:2]
+        stashed = {v: _rows_of(table, v) for v in victims}
         for v in victims:
             table.uninstall(v)
-        table.install_many([(r, None) for r in stashed[victims[0]]])
+        table.install_many(RowBatch.from_rows(stashed[victims[0]]))
 
         _replay_ops(replica, table.journal)
         assert replica.version == table.version
-        assert replica._id_of_key == table._id_of_key
+        assert _row_id_of_key(replica) == _row_id_of_key(table)
         assert replica._sub_id_of == table._sub_id_of
         assert replica._hop_id_of == table._hop_id_of
         assert sorted(replica._free_ids) == sorted(table._free_ids)
@@ -149,7 +167,7 @@ class TestJournalCompleteness:
         _, table = _table_pair()
         table.journal = []
         v0 = table.version
-        victim = sorted(table._ids_of_subscriber)[0]
+        victim = _subscribers(table)[0]
         table.uninstall(victim)
         assert table.version == v0 + 1
         assert len(table.journal) == 1
